@@ -6,6 +6,10 @@
 //! run allocation-free; checkpoint capture is the one intentional
 //! exception (one spine allocation per captured queue), so the budget is a
 //! small constant per checkpoint rather than per event.
+//!
+//! Windows count the calling thread's allocations only: the simulation is
+//! single-threaded, and the test harness runs the tests (and prints their
+//! results) on other threads at the same time.
 
 #![cfg(feature = "bench")]
 
@@ -39,7 +43,7 @@ fn fig06_sim(mode: HaMode, ckpt_ms: u64) -> HaSimulation {
 fn measure_window(sim: &mut HaSimulation) -> (u64, u64) {
     sim.run_until(SimTime::from_secs(1)); // warmup: caches, scratch, chunks
     let e0 = sim.events_processed();
-    let a0 = counting_alloc::allocations();
+    let a0 = counting_alloc::thread_allocations();
     let mut until = SimTime::from_secs(1);
     while sim.events_processed() - e0 < 10_000 {
         until += SimDuration::from_millis(10);
@@ -47,7 +51,7 @@ fn measure_window(sim: &mut HaSimulation) -> (u64, u64) {
     }
     (
         sim.events_processed() - e0,
-        counting_alloc::allocations() - a0,
+        counting_alloc::thread_allocations() - a0,
     )
 }
 
@@ -99,12 +103,12 @@ fn checkpoint_capture_allocations_are_depth_independent() {
         // Warm up one capture + produce so copy-on-write steady state holds.
         std::hint::black_box(q.snapshot());
         q.produce(Payload::new(0, 0.0), SimTime::ZERO);
-        let a0 = counting_alloc::allocations();
+        let a0 = counting_alloc::thread_allocations();
         for i in 0..100u64 {
             std::hint::black_box(q.snapshot());
             q.produce(Payload::new(i, 1.0), SimTime::ZERO);
         }
-        counting_alloc::allocations() - a0
+        counting_alloc::thread_allocations() - a0
     };
     let shallow = count_for(100);
     let deep = count_for(10_000);

@@ -101,41 +101,52 @@ fn clean_run_passes_both_frontends_identically() {
 
 #[test]
 fn broken_sink_dedup_is_caught_by_both_frontends() {
-    let (report, violations, dump) = audited_run(2010, |c| c.test_break_sink_dedup = true);
-    // The chaos duplication window re-delivers elements; with receiver
-    // dedup broken they are accepted twice, which the exactly-once rule
-    // must flag.
-    assert!(violations > 0, "canary did not fire:\n{report}");
-    assert!(report.contains("verdict: FAIL"), "{report}");
-    assert!(
-        report.contains("sink_exactly_once"),
-        "wrong invariant flagged:\n{report}"
-    );
+    // Batch 1 delivers one-element runs; batch 16 coalesces longer ones.
+    // Both go through the one sink delivery path and its one dedup hook.
+    for batch_size in [1, 16] {
+        let broken = |c: &mut HaConfig| {
+            c.test_break_sink_dedup = true;
+            c.batch_size = batch_size;
+        };
+        let (report, violations, dump) = audited_run(2010, broken);
+        // The chaos duplication window re-delivers elements; with receiver
+        // dedup broken they are accepted twice, which the exactly-once rule
+        // must flag.
+        assert!(
+            violations > 0,
+            "canary did not fire at batch {batch_size}:\n{report}"
+        );
+        assert!(report.contains("verdict: FAIL"), "{report}");
+        assert!(
+            report.contains("sink_exactly_once"),
+            "wrong invariant flagged at batch {batch_size}:\n{report}"
+        );
 
-    let outcome = replay_dump(&dump).expect("dump replays");
-    assert_eq!(outcome.violations, violations);
-    assert_eq!(
-        outcome.recorded_violations, violations,
-        "the online probe's violation records must be in the dump"
-    );
-    assert_eq!(
-        outcome.report, report,
-        "offline replay must reproduce the online report byte for byte"
-    );
-    let first = outcome.first.expect("a first violation with context");
-    assert!(
-        first.rendered.contains("sink_exactly_once"),
-        "{}",
-        first.rendered
-    );
-    assert!(
-        !first.backtrace.is_empty(),
-        "first violation should come with a causal backtrace"
-    );
+        let outcome = replay_dump(&dump).expect("dump replays");
+        assert_eq!(outcome.violations, violations);
+        assert_eq!(
+            outcome.recorded_violations, violations,
+            "the online probe's violation records must be in the dump"
+        );
+        assert_eq!(
+            outcome.report, report,
+            "offline replay must reproduce the online report byte for byte"
+        );
+        let first = outcome.first.expect("a first violation with context");
+        assert!(
+            first.rendered.contains("sink_exactly_once"),
+            "{}",
+            first.rendered
+        );
+        assert!(
+            !first.backtrace.is_empty(),
+            "first violation should come with a causal backtrace"
+        );
 
-    // The canary is deterministic: same seed, same report.
-    let (again, _, _) = audited_run(2010, |c| c.test_break_sink_dedup = true);
-    assert_eq!(report, again);
+        // The canary is deterministic: same seed, same report.
+        let (again, _, _) = audited_run(2010, broken);
+        assert_eq!(report, again);
+    }
 }
 
 #[test]

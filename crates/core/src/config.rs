@@ -140,9 +140,10 @@ pub struct HaConfig {
     /// this many elements per tick, and the dispatch paths coalesce
     /// same-destination contiguous runs into one range-stamped
     /// [`Msg::DataBatch`](crate::Msg::DataBatch) per delivery. The default
-    /// of 1 is byte-identical to the unbatched runtime (every run is a
-    /// singleton [`Msg::Data`](crate::Msg::Data)); larger values trade
-    /// per-element scheduling overhead for coarser event granularity.
+    /// of 1 is byte-identical to the unbatched runtime (every run is one
+    /// element, costing what a lone element does on the wire); larger
+    /// values trade per-element scheduling overhead for coarser event
+    /// granularity.
     pub batch_size: u32,
     /// Wire size of one data element.
     pub element_bytes: u32,

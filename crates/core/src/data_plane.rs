@@ -50,9 +50,9 @@ impl HaWorld {
         if src != dst {
             self.counters.record(class, elements);
         }
-        // Queue-depth accounting is in logical elements: a batched delivery
-        // is one event carrying `batch.len()` elements in flight. Every
-        // other message weighs 1, so batch size 1 matches the unweighted
+        // Queue-depth accounting is in logical elements: a data delivery is
+        // one event carrying `batch.len()` elements in flight. Every other
+        // message weighs 1, so batch size 1 matches the unweighted
         // accounting exactly.
         let weight = match &msg {
             Msg::DataBatch { batch, .. } => batch.len() as u64,
@@ -424,53 +424,11 @@ impl HaWorld {
         self.conn_scratch = conns;
     }
 
-    /// Transmits one element, classifying redundant copies and accounting
-    /// the hybrid's switch-over overhead (elements still sent to the
-    /// suspected primary, Fig 10).
-    pub(crate) fn send_data(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        src_machine: MachineId,
-        produced_by_secondary: bool,
-        dest: Dest,
-        elem: DataElement,
-    ) {
-        let dst = self.dest_machine(dest);
-        let mut class = if produced_by_secondary {
-            MsgClass::DupData
-        } else {
-            MsgClass::Data
-        };
-        if let Dest::Pe { inst, .. } = dest {
-            if inst.replica == Replica::Secondary {
-                class = MsgClass::DupData;
-            }
-            let sj = &mut self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-            if sj.state == SjState::SwitchedOver && dst == sj.primary_machine && src_machine != dst
-            {
-                sj.switch_overhead_elements += 1;
-            }
-        }
-        self.metric_inc(
-            Scope::machine("data_plane", src_machine.0),
-            "elements_sent",
-            1,
-        );
-        self.send_msg(
-            ctx,
-            src_machine,
-            dst,
-            Msg::Data { to: dest, elem },
-            class,
-            1,
-        );
-    }
-
     /// Transmits the drained spans through the world's [`OutputSession`]:
     /// same-destination contiguous runs coalesce into one range-stamped
-    /// batch per delivery, capped at `batch_size`. Singleton runs go out
-    /// as plain [`Msg::Data`] — at batch size 1 every run is a singleton,
-    /// so the transmission sequence is exactly the unbatched one.
+    /// batch per delivery, capped at `batch_size`. At batch size 1 every
+    /// run is one element, so the transmission sequence is exactly the
+    /// unbatched one.
     ///
     /// [`OutputSession`]: sps_engine::OutputSession
     fn transmit_spans(
@@ -489,20 +447,17 @@ impl HaWorld {
         }
         for i in 0..session.run_count() {
             let (dest, run) = session.run(i);
-            if let &[elem] = run {
-                self.send_data(ctx, src_machine, produced_by_secondary, dest, elem);
-            } else {
-                self.send_data_batch(ctx, src_machine, produced_by_secondary, dest, run);
-            }
+            self.send_data(ctx, src_machine, produced_by_secondary, dest, run);
         }
         session.clear();
         self.session_scratch = session;
     }
 
-    /// Transmits a contiguous run of two or more elements as one
-    /// range-stamped [`Msg::DataBatch`], with the same classification and
-    /// per-element accounting as [`HaWorld::send_data`].
-    fn send_data_batch(
+    /// Transmits a contiguous run of elements as one range-stamped
+    /// [`Msg::DataBatch`], classifying redundant copies and accounting the
+    /// hybrid's switch-over overhead (elements still sent to the suspected
+    /// primary, Fig 10).
+    fn send_data(
         &mut self,
         ctx: &mut Ctx<Event>,
         src_machine: MachineId,
@@ -842,7 +797,6 @@ impl HaWorld {
             // Fail-stopped machines receive nothing. Drops are counted in
             // elements, so a lost batch reports its full length.
             let lost = match &msg {
-                Msg::Data { .. } => 1,
                 Msg::DataBatch { batch, .. } => batch.len() as u32,
                 _ => 0,
             };
@@ -859,8 +813,7 @@ impl HaWorld {
             return;
         }
         match msg {
-            Msg::Data { to: dest, elem } => self.on_data(ctx, to, dest, elem),
-            Msg::DataBatch { to: dest, batch } => self.on_data_batch(ctx, to, dest, batch),
+            Msg::DataBatch { to: dest, batch } => self.on_data(ctx, to, dest, batch),
             Msg::Ack {
                 to: addr,
                 from,
@@ -897,169 +850,12 @@ impl HaWorld {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<Event>, at: MachineId, dest: Dest, elem: DataElement) {
-        match dest {
-            Dest::Pe { inst, port } => {
-                let slot = slot_of(inst.pe, inst.replica);
-                if self.instances[slot].is_none() || self.instance_machine[slot] != at {
-                    // Stale delivery to a departed instance.
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::ElementDrop {
-                            machine: at.0,
-                            elements: 1,
-                            reason: DropReason::StaleEpoch,
-                        },
-                    );
-                    return;
-                }
-                let stream = elem.stream.0;
-                if let Some(lin) = self.lineage.as_deref_mut() {
-                    // First arrival of any copy — duplicates and stashed
-                    // out-of-order arrivals no-op via first-writer-wins.
-                    lin.note_recv((stream, elem.seq), ctx.now());
-                }
-                let offer = self.instances[slot]
-                    .as_mut()
-                    .expect("checked")
-                    .offer(port, elem);
-                let now = ctx.now();
-                self.tracer.emit_data(now, || {
-                    let (accepted, stashed, duplicates) = match offer {
-                        Offer::Accepted(n) => (n as u32, 0, 0),
-                        Offer::Stashed => (0, 1, 0),
-                        Offer::Duplicate => (0, 0, 1),
-                    };
-                    TraceEvent::ElementRecv {
-                        pe: inst.pe.0,
-                        replica: replica_code(inst.replica),
-                        stream,
-                        accepted,
-                        stashed,
-                        duplicates,
-                    }
-                });
-                if offer == Offer::Duplicate {
-                    self.metric_inc(Scope::machine("data_plane", at.0), "duplicates", 1);
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::ElementDrop {
-                            machine: at.0,
-                            elements: 1,
-                            reason: DropReason::Duplicate,
-                        },
-                    );
-                    // Under the reliable layer a duplicate is usually a
-                    // sweep retransmission whose original ack was lost:
-                    // re-ack from the current positions so the producer
-                    // trims and stops resending. Checkpoint-acked primaries
-                    // must not — their acks may only follow stored
-                    // checkpoints (§III-B ordering).
-                    if self.cfg.reliable_control {
-                        let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-                        if !(sj.mode.checkpoints() && inst.replica == sj.primary_replica) {
-                            self.send_instance_acks(ctx, slot);
-                        }
-                    }
-                }
-                self.try_start(ctx, slot);
-            }
-            Dest::Sink(sink) => {
-                let s = sink.0 as usize;
-                let (stream, seq) = (elem.stream, elem.seq);
-                let created_at = elem.created_at;
-                if let Some(lin) = self.lineage.as_deref_mut() {
-                    lin.note_recv((stream.0, seq), ctx.now());
-                }
-                let delivered = if self.cfg.test_break_sink_dedup {
-                    self.sinks[s].deliver_without_dedup(ctx.now(), elem)
-                } else {
-                    self.sinks[s].deliver(ctx.now(), elem)
-                };
-                if let Some(accept) = delivered {
-                    self.metric_inc(
-                        Scope::global("sink"),
-                        "accepted",
-                        accept.newly_accepted as u64,
-                    );
-                    let e2e_ms = ctx.now().saturating_since(created_at).as_millis_f64();
-                    self.metric_observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
-                    if let Some(lin) = self.lineage.as_deref_mut() {
-                        // `processed_through` is cumulative: it covers this
-                        // element plus any stashed ones the gap-fill just
-                        // released, each recorded delivered exactly once.
-                        lin.record_delivery(
-                            sink.0,
-                            accept.stream.0,
-                            accept.processed_through,
-                            ctx.now(),
-                        );
-                    }
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::SinkDeliver {
-                            sink: sink.0,
-                            stream: stream.0,
-                            seq_start: seq,
-                            seq_end: seq,
-                            newly_accepted: accept.newly_accepted as u32,
-                            duplicates: 0,
-                            processed_through: accept.processed_through,
-                        },
-                    );
-                    let from_machine = self.placement.sinks[s];
-                    self.send_acks_for_stream(
-                        ctx,
-                        from_machine,
-                        Dest::Sink(sink),
-                        accept.stream,
-                        accept.processed_through,
-                    );
-                } else {
-                    // Rejected arrival: a duplicate (behind the processed
-                    // position — likely a retransmission whose ack was
-                    // lost) or stashed out of order.
-                    if self.tracer.is_enabled() {
-                        let through = self.sinks[s].processed_through(stream);
-                        self.tracer.emit(
-                            ctx.now(),
-                            TraceEvent::SinkDeliver {
-                                sink: sink.0,
-                                stream: stream.0,
-                                seq_start: seq,
-                                seq_end: seq,
-                                newly_accepted: 0,
-                                duplicates: u32::from(through >= seq),
-                                processed_through: through,
-                            },
-                        );
-                    }
-                    if self.cfg.reliable_control {
-                        // Re-ack only duplicates; cumulative acks are
-                        // monotone, so resending the current position is
-                        // always safe.
-                        let through = self.sinks[s].processed_through(stream);
-                        if through >= seq {
-                            let from_machine = self.placement.sinks[s];
-                            self.send_acks_for_stream(
-                                ctx,
-                                from_machine,
-                                Dest::Sink(sink),
-                                stream,
-                                through,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Delivers a range-stamped batch: per-element offers preserve the
-    /// input queue's deduplication and position tracking (so a partial
-    /// retransmission overlapping an earlier delivery stays exactly-once),
-    /// while traces, metrics, and acknowledgments aggregate over the run.
-    fn on_data_batch(
+    /// Delivers a range-stamped run (one element at batch size 1):
+    /// per-element offers preserve the input queue's deduplication and
+    /// position tracking (so a partial retransmission overlapping an
+    /// earlier delivery stays exactly-once), while traces, metrics, and
+    /// acknowledgments aggregate over the run.
+    fn on_data(
         &mut self,
         ctx: &mut Ctx<Event>,
         at: MachineId,
@@ -1084,7 +880,8 @@ impl HaWorld {
                 let stream = batch.stream().0;
                 if let Some(lin) = self.lineage.as_deref_mut() {
                     // The range stamp expands to per-tuple arrival records
-                    // here (first-writer-wins, like the singleton path).
+                    // here; duplicates and stashed out-of-order arrivals
+                    // no-op via first-writer-wins.
                     lin.note_recv_range(stream, batch.seq_start(), batch.seq_end(), ctx.now());
                 }
                 let (mut accepted, mut stashed, mut duplicates) = (0u32, 0u32, 0u32);
@@ -1122,8 +919,13 @@ impl HaWorld {
                             reason: DropReason::Duplicate,
                         },
                     );
-                    // Same re-ack rule as the singleton path, sent once per
-                    // batch: cumulative acks cover every duplicate in it.
+                    // Under the reliable layer a duplicate is usually a
+                    // sweep retransmission whose original ack was lost:
+                    // re-ack from the current positions, once per batch
+                    // (cumulative acks cover every duplicate in it), so the
+                    // producer trims and stops resending. Checkpoint-acked
+                    // primaries must not — their acks may only follow
+                    // stored checkpoints (§III-B ordering).
                     if self.cfg.reliable_control {
                         let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
                         if !(sj.mode.checkpoints() && inst.replica == sj.primary_replica) {
@@ -1159,6 +961,9 @@ impl HaWorld {
                         let e2e_ms = ctx.now().saturating_since(created_at).as_millis_f64();
                         self.metric_observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
                         if let Some(lin) = self.lineage.as_deref_mut() {
+                            // `processed_through` is cumulative: it covers
+                            // this element plus any stashed ones the gap-fill
+                            // just released, each recorded delivered once.
                             lin.record_delivery(
                                 sink.0,
                                 accept.stream.0,
@@ -1169,6 +974,9 @@ impl HaWorld {
                         newly_accepted += accept.newly_accepted as u32;
                         last_accept = Some((accept.stream, accept.processed_through));
                     } else if trace && elem.seq <= self.sinks[s].processed_through(stream) {
+                        // Rejected behind the processed position: a duplicate
+                        // (likely a retransmission whose ack was lost), not
+                        // an out-of-order arrival the sink stashed.
                         duplicates += 1;
                     }
                 }
@@ -1202,9 +1010,11 @@ impl HaWorld {
                         through,
                     );
                 } else if self.cfg.reliable_control {
-                    // Wholly rejected batch: re-ack if it was all behind
+                    // Wholly rejected batch: re-ack if it starts behind
                     // the processed position (a retransmission whose ack
-                    // was lost), mirroring the singleton rule.
+                    // was lost) rather than being stashed out of order.
+                    // Cumulative acks are monotone, so resending the
+                    // current position is always safe.
                     let through = self.sinks[s].processed_through(stream);
                     if through >= batch.seq_start() {
                         self.send_acks_for_stream(

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sps_cluster::MachineId;
-use sps_engine::{DataBatch, DataElement, Dest, InstanceId, PeCheckpoint, SourceId, SubjobId};
+use sps_engine::{DataBatch, Dest, InstanceId, PeCheckpoint, SourceId, SubjobId};
 
 /// Addresses the owner of an output queue (for acknowledgments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,18 +17,10 @@ pub enum ProducerAddr {
 /// A network message. Sizes are derived per variant when sending.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// A data element bound for a PE input port or a sink.
-    Data {
-        /// Destination input.
-        to: Dest,
-        /// The element.
-        elem: DataElement,
-    },
     /// A contiguous run of data elements under one
     /// `(stream, seq_start..=seq_end)` range stamp, bound for a PE input
-    /// port or a sink. Only emitted for runs of two or more elements — a
-    /// coalesced singleton run goes out as [`Msg::Data`], which is what
-    /// keeps batch size 1 byte-identical to the unbatched runtime.
+    /// port or a sink — the only data message. A run of one is just a
+    /// batch: it costs one element's payload plus the 32-byte header.
     DataBatch {
         /// Destination input.
         to: Dest,
@@ -127,7 +119,6 @@ impl Msg {
     /// Approximate wire size in bytes, given the configured element size.
     pub fn wire_bytes(&self, element_bytes: u32) -> u64 {
         match self {
-            Msg::Data { elem, .. } => elem.size_bytes as u64 + 32,
             // One header amortized over the run: the batching win on the wire.
             Msg::DataBatch { batch, .. } => batch.payload_bytes() + 32,
             Msg::Ack { .. } => 48,
@@ -149,7 +140,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sps_engine::{PeId, StreamId};
+    use sps_engine::{DataElement, PeId, StreamId};
     use sps_sim::SimTime;
 
     #[test]
@@ -162,9 +153,10 @@ mod tests {
             value: 0.0,
             size_bytes: 256,
         };
-        let data = Msg::Data {
+        // A one-element batch costs one payload plus the 32-byte header.
+        let data = Msg::DataBatch {
             to: Dest::Sink(sps_engine::SinkId(0)),
-            elem,
+            batch: DataBatch::from_run(&[elem]),
         };
         assert_eq!(data.wire_bytes(256), 288);
         assert_eq!(Msg::Ping { monitor: 0, seq: 1 }.wire_bytes(256), 32);

@@ -131,8 +131,7 @@ impl SinkRuntime {
     /// arrivals.
     pub fn processed_through(&self, stream: StreamId) -> u64 {
         self.input
-            .positions()
-            .into_iter()
+            .positions_iter()
             .find(|&(s, _)| s == stream)
             .map(|(_, seq)| seq)
             .unwrap_or(0)

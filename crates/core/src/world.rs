@@ -568,8 +568,8 @@ pub struct HaWorld {
     pub(crate) task_scratch: Vec<sps_cluster::FinishedTask>,
     /// Reusable same-tick coalescing session for the dispatch paths:
     /// accumulates same-destination contiguous runs up to `batch_size`
-    /// elements, emptied before return. At batch size 1 every run is a
-    /// singleton, reproducing the unbatched transmission sequence exactly.
+    /// elements, emptied before return. At batch size 1 every run is one
+    /// element, reproducing the unbatched transmission sequence exactly.
     pub(crate) session_scratch: sps_engine::OutputSession<sps_engine::Dest>,
     /// Bump arena for the retransmit sweep's per-producer connection
     /// observations `(port, conn, dest, active, acked, next_to_send)`;

@@ -1,10 +1,12 @@
 //! Batch-granular data-plane building blocks: range-stamped element
 //! batches and the same-tick coalescing session.
 //!
-//! The paper's protocols move one element per message; real SPEs amortize
-//! per-message bookkeeping by shipping contiguous runs of elements under a
-//! single range stamp (the timely-dataflow session-per-timestamp idiom).
-//! Two pieces make that work here:
+//! The paper's protocols track data only as per-stream sequence numbers
+//! with cumulative acks, so one `(stream, seq_start..=seq_end)` range stamp
+//! describes a run of any length. Real SPEs amortize per-message
+//! bookkeeping by shipping contiguous runs under such a stamp (the
+//! timely-dataflow session-per-timestamp idiom), and here a run of one is
+//! just a batch. Two pieces make that work:
 //!
 //! * [`DataBatch`] — a contiguous run of same-stream elements carried by
 //!   one data-plane message and identified by a single
@@ -15,9 +17,9 @@
 //!   stream changes, the sequence is discontiguous, or the run is full.
 //!
 //! At `batch_size == 1` every `give` closes its own run, so the session
-//! degenerates to exactly the one-element-per-message dispatch order —
-//! which is what keeps batch size 1 byte-identical to the unbatched
-//! runtime.
+//! degenerates to exactly the one-element-per-message dispatch order, and
+//! a one-element batch costs what a lone element did: the same wire bytes
+//! and no heap allocation.
 
 use crate::element::DataElement;
 
@@ -27,7 +29,15 @@ use crate::element::DataElement;
 /// `(stream, seq_start..=seq_end)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataBatch {
-    elems: Vec<DataElement>,
+    run: Run,
+}
+
+/// The storage of a [`DataBatch`], chosen by run length: a lone element
+/// stays inline so a one-element batch never touches the heap.
+#[derive(Debug, Clone, PartialEq)]
+enum Run {
+    One(DataElement),
+    Many(Box<[DataElement]>),
 }
 
 impl DataBatch {
@@ -44,45 +54,50 @@ impl DataBatch {
                 .all(|w| w[1].stream == w[0].stream && w[1].seq == w[0].seq + 1),
             "batch run must be one stream of consecutive sequence numbers"
         );
-        DataBatch {
-            elems: run.to_vec(),
-        }
+        let run = match run {
+            [elem] => Run::One(*elem),
+            _ => Run::Many(run.into()),
+        };
+        DataBatch { run }
     }
 
     /// The shared stream of every element in the batch.
     pub fn stream(&self) -> crate::element::StreamId {
-        self.elems[0].stream
+        self.elems()[0].stream
     }
 
     /// First sequence number of the range stamp.
     pub fn seq_start(&self) -> u64 {
-        self.elems[0].seq
+        self.elems()[0].seq
     }
 
     /// Last sequence number of the range stamp (inclusive).
     pub fn seq_end(&self) -> u64 {
-        self.elems[self.elems.len() - 1].seq
+        self.elems()[self.len() - 1].seq
     }
 
     /// Number of elements in the batch.
     pub fn len(&self) -> usize {
-        self.elems.len()
+        self.elems().len()
     }
 
     /// `true` if the batch carries no elements (never constructed, but the
     /// conventional pair to [`DataBatch::len`]).
     pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
+        self.elems().is_empty()
     }
 
     /// The elements, in sequence order.
     pub fn elems(&self) -> &[DataElement] {
-        &self.elems
+        match &self.run {
+            Run::One(elem) => std::slice::from_ref(elem),
+            Run::Many(elems) => elems,
+        }
     }
 
     /// Payload bytes summed over the batch.
     pub fn payload_bytes(&self) -> u64 {
-        self.elems.iter().map(|e| e.size_bytes as u64).sum()
+        self.elems().iter().map(|e| e.size_bytes as u64).sum()
     }
 }
 
@@ -90,10 +105,9 @@ impl DataBatch {
 ///
 /// Producers `give` elements in transmission order; the session groups
 /// them into maximal `(destination, contiguous seq run)` batches capped at
-/// `batch_size`. The caller then walks `run_count()`/`run(i)` and sends a
-/// singleton message for 1-element runs or a [`DataBatch`] for longer
-/// ones. `clear` retains capacity, so a world-owned session allocates
-/// nothing in steady state.
+/// `batch_size`. The caller then walks `run_count()`/`run(i)` and sends
+/// each run as one [`DataBatch`], whatever its length. `clear` retains
+/// capacity, so a world-owned session allocates nothing in steady state.
 #[derive(Debug)]
 pub struct OutputSession<D> {
     batch_size: usize,
@@ -206,6 +220,15 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
         assert_eq!(b.payload_bytes(), 3 * 256);
+
+        // A run of one is just a batch: the same stamp, one element.
+        let one = DataBatch::from_run(&[elem(3, 7)]);
+        assert_eq!(one.stream(), StreamId(3));
+        assert_eq!((one.seq_start(), one.seq_end()), (7, 7));
+        assert_eq!(one.len(), 1);
+        assert!(!one.is_empty());
+        assert_eq!(one.payload_bytes(), 256);
+        assert_eq!(one.elems(), &[elem(3, 7)]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * **Event counters** ([`allocations`] / [`allocated_bytes`]): `dealloc`
 //!   is uncounted, `realloc` counts as one event with the new size. These
 //!   are monotone and answer "how often does this path allocate?".
+//!   [`thread_allocations`] is the same count restricted to the calling
+//!   thread.
 //! * **Live-bytes counters** ([`live_bytes`] / [`peak_live_bytes`]): every
 //!   `alloc` adds and every `dealloc` subtracts, with a high-water mark
 //!   that scale benchmarks reset per measurement window via
@@ -26,6 +28,7 @@
 //! `deny` under the `bench` feature.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -33,9 +36,18 @@ static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 #[inline]
 fn on_alloc(size: u64) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with` fails only during thread teardown, when nobody can read
+    // the count any more.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     ALLOCATED_BYTES.fetch_add(size, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
     PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
@@ -84,6 +96,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// registered global allocator; zero forever otherwise.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Heap allocation calls made so far by the calling thread alone — what a
+/// measurement window must use when other threads (a parallel test
+/// harness, say) may allocate at the same time.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Total bytes requested by those allocation calls.

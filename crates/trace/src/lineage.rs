@@ -169,30 +169,18 @@ impl LineageTable {
         }
     }
 
-    /// Records the first arrival time of `key` (later copies no-op).
-    pub fn note_recv(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
-            if r.recv_at.is_none() {
-                r.recv_at = Some(at);
-            }
-        }
-    }
-
-    /// [`LineageTable::note_sent`] over the inclusive sequence range
-    /// `seq_start..=seq_end` of `stream` — how a range-stamped batch
-    /// expands to per-tuple stamps. The expansion stays lazy on the batch
-    /// side: the batch carries one stamp, and only this table fans it out.
-    pub fn note_sent_range(&mut self, stream: u32, seq_start: u64, seq_end: u64, at: SimTime) {
-        for seq in seq_start..=seq_end {
-            self.note_sent((stream, seq), at);
-        }
-    }
-
-    /// [`LineageTable::note_recv`] over the inclusive sequence range
-    /// `seq_start..=seq_end` of `stream`.
+    /// Records the first arrival time of every element in the inclusive
+    /// sequence range `seq_start..=seq_end` of `stream` (later copies
+    /// no-op) — how a range-stamped batch expands to per-tuple stamps. The
+    /// expansion stays lazy on the batch side: the batch carries one
+    /// stamp, and only this table fans it out.
     pub fn note_recv_range(&mut self, stream: u32, seq_start: u64, seq_end: u64, at: SimTime) {
         for seq in seq_start..=seq_end {
-            self.note_recv((stream, seq), at);
+            if let Some(r) = self.records.get_mut(&(stream, seq)) {
+                if r.recv_at.is_none() {
+                    r.recv_at = Some(at);
+                }
+            }
         }
     }
 
@@ -205,21 +193,17 @@ impl LineageTable {
         }
     }
 
-    /// Counts one send-cursor rewind over `key`. The decomposition exposes
-    /// this as a single boolean flag per hop regardless of retry count.
-    pub fn mark_retransmit(&mut self, key: ElementKey) {
-        if let Some(r) = self.records.get_mut(&key) {
-            r.retransmits += 1;
-        }
-    }
-
-    /// [`LineageTable::mark_retransmit`] over the inclusive sequence range
-    /// `seq_start..=seq_end` of `stream` (a rewound send cursor covers a
-    /// contiguous run; under batching the resend splits on the acked
-    /// boundary but the rewind itself is still one range).
+    /// Counts one send-cursor rewind over every element in the inclusive
+    /// sequence range `seq_start..=seq_end` of `stream` (a rewound send
+    /// cursor covers a contiguous run; under batching the resend splits on
+    /// the acked boundary but the rewind itself is still one range). The
+    /// decomposition exposes this as a single boolean flag per hop
+    /// regardless of retry count.
     pub fn mark_retransmit_range(&mut self, stream: u32, seq_start: u64, seq_end: u64) {
         for seq in seq_start..=seq_end {
-            self.mark_retransmit((stream, seq));
+            if let Some(r) = self.records.get_mut(&(stream, seq)) {
+                r.retransmits += 1;
+            }
         }
     }
 
@@ -318,10 +302,11 @@ mod tests {
         l.record_root((0, 1), t(10));
         l.note_sent((0, 1), t(12));
         l.note_sent((0, 1), t(99)); // secondary copy later: ignored
-        l.note_recv((0, 1), t(14));
-        l.note_recv((0, 1), t(13)); // still first-writer, not min-writer:
-                                    // arrival order is sim order, so the
-                                    // first writer IS the earliest.
+        l.note_recv_range(0, 1, 1, t(14));
+        l.note_recv_range(0, 1, 1, t(13)); // still first-writer, not
+                                           // min-writer: arrival order is
+                                           // sim order, so the first
+                                           // writer IS the earliest.
         let r = l.record((0, 1)).unwrap();
         assert_eq!(r.sent_at, Some(t(12)));
         assert_eq!(r.recv_at, Some(t(14)));
@@ -335,12 +320,12 @@ mod tests {
         // source elem (0,5): emitted 0, sent 1, recv 3, proc start 4
         l.record_root((0, 5), t(0));
         l.note_sent((0, 5), t(1));
-        l.note_recv((0, 5), t(3));
+        l.note_recv_range(0, 5, 5, t(3));
         l.note_proc_start((0, 5), t(4));
         // PE 7 produces (1,5) at 6; sent 6, recv 9 (arrives at sink)
         l.record_hop((0, 5), (1, 5), 7, 0, t(6));
         l.note_sent((1, 5), t(6));
-        l.note_recv((1, 5), t(9));
+        l.note_recv_range(1, 5, 5, t(9));
         l.record_delivery(0, 1, 4, t(8));
         l.record_delivery(0, 1, 5, t(9));
 
@@ -381,20 +366,26 @@ mod tests {
         for s in 1..=5 {
             l.record_root((3, s), t(s));
         }
-        l.note_sent_range(3, 2, 4, t(10));
         l.note_recv_range(3, 2, 4, t(12));
         l.mark_retransmit_range(3, 3, 4);
-        assert_eq!(l.record((3, 1)).unwrap().sent_at, None, "outside range");
+        assert_eq!(l.record((3, 1)).unwrap().recv_at, None, "outside range");
         for s in 2..=4 {
             let r = l.record((3, s)).unwrap();
-            assert_eq!(r.sent_at, Some(t(10)));
             assert_eq!(r.recv_at, Some(t(12)));
             assert_eq!(r.retransmitted(), s >= 3);
         }
-        // Range stamps are first-writer-wins per tuple, like the scalar API.
-        l.note_sent_range(3, 1, 5, t(20));
-        assert_eq!(l.record((3, 2)).unwrap().sent_at, Some(t(10)));
-        assert_eq!(l.record((3, 5)).unwrap().sent_at, Some(t(20)));
+        // Range stamps are first-writer-wins per tuple.
+        l.note_recv_range(3, 1, 5, t(20));
+        assert_eq!(l.record((3, 2)).unwrap().recv_at, Some(t(12)));
+        assert_eq!(l.record((3, 5)).unwrap().recv_at, Some(t(20)));
+        // A one-element range touches exactly that element.
+        l.record_root((3, 6), t(6));
+        l.note_recv_range(3, 6, 6, t(30));
+        l.mark_retransmit_range(3, 6, 6);
+        assert_eq!(l.record((3, 6)).unwrap().recv_at, Some(t(30)));
+        assert_eq!(l.record((3, 5)).unwrap().recv_at, Some(t(20)));
+        assert!(l.record((3, 6)).unwrap().retransmitted());
+        assert!(!l.record((3, 2)).unwrap().retransmitted());
     }
 
     #[test]
@@ -402,8 +393,8 @@ mod tests {
         let mut l = LineageTable::new();
         l.record_root((0, 1), t(0));
         l.note_sent((0, 1), t(1));
-        l.mark_retransmit((0, 1));
-        l.mark_retransmit((0, 1));
+        l.mark_retransmit_range(0, 1, 1);
+        l.mark_retransmit_range(0, 1, 1);
         let r = l.record((0, 1)).unwrap();
         assert_eq!(r.retransmits, 2);
         assert!(r.retransmitted());
