@@ -1,9 +1,9 @@
 //! Scaling-curve benchmark: sharded jobs across a machines × shards grid.
 //!
 //! For every cell of machines ∈ {83, 500, 1000, 5000} × shards ∈
-//! {8, 256, 2048} (`--quick` keeps {83×8, 500×256}), one key-partitioned
-//! sharded job (router + one subjob per shard, Zipf-skewed keys) runs for
-//! a fixed simulated span, and the harness records:
+//! {8, 256, 2048} (`--quick` keeps {83×8, 500×256, 83×2048}), one
+//! key-partitioned sharded job (router + one subjob per shard, Zipf-skewed
+//! keys) runs for a fixed simulated span, and the harness records:
 //!
 //! * **deterministic, world-derived values** — elements produced/accepted,
 //!   DES events, peak logical queue weight, active network links, sparse
@@ -276,7 +276,7 @@ fn main() {
             .iter()
             .flat_map(|&m| shards_axis.iter().map(move |&s| (m, s)))
             .collect(),
-        Scale::Quick => vec![(83, 8), (500, 256)],
+        Scale::Quick => vec![(83, 8), (500, 256), (83, 2_048)],
     };
     // Per-cell heap attribution needs the cells to run alone in the
     // process; with --jobs > 1 the counters interleave, so they are

@@ -2,9 +2,9 @@
 //! element delivery, and acknowledgment processing.
 
 use sps_cluster::{LoadComponent, MachineId};
-use sps_engine::{ConnectionId, DataElement, Dest, Offer, Replica, StreamId};
+use sps_engine::{ConnectionId, DataElement, Dest, Offer, OutputQueue, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
-use sps_sim::{Ctx, TimerGen};
+use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, TraceEvent};
 
 use crate::message::{Msg, ProducerAddr};
@@ -13,6 +13,31 @@ use crate::world::{replica_code, slot_of, unslot, Event, HaWorld, SjState, TaskT
 /// The `pe` field of trace events emitted for a source (sources have no
 /// PE id).
 const TRACE_SOURCE_PE: u32 = u32::MAX;
+
+/// World-owned buffers that serve every dispatch: one element buffer, with
+/// spans remembering which slice belongs to which destination, plus the
+/// connection and port lists. Emptied before every return, so the
+/// steady-state loop allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct DispatchScratch {
+    /// Elements drained from a hop's output connections.
+    elems: Vec<DataElement>,
+    /// `(dest, start, end)` spans into `elems`, one per drained connection.
+    spans: Vec<(Dest, usize, usize)>,
+    /// `(port, conn, dest)` of the hop's connections that need a drain.
+    conns: Vec<(usize, usize, Dest)>,
+    /// The pending output ports taken from the instance being dispatched.
+    ports: Vec<usize>,
+}
+
+impl DispatchScratch {
+    fn clear(&mut self) {
+        self.elems.clear();
+        self.spans.clear();
+        self.conns.clear();
+        self.ports.clear();
+    }
+}
 
 impl HaWorld {
     // ---- sending and machine plumbing ----
@@ -359,50 +384,20 @@ impl HaWorld {
         ctx.schedule_in(gap, Event::SourceTick { source, gen: g });
     }
 
-    /// Drains every active connection of a source's queue and transmits.
+    /// Drains every sendable connection of a source's queue and transmits.
     pub(crate) fn dispatch_source_outputs(&mut self, ctx: &mut Ctx<Event>, s: usize) {
         let src_machine = self.placement.sources[s];
-        // World-owned buffers serve every hop: one element buffer, with
-        // spans remembering which slice belongs to which destination, and
-        // one connection list — the steady-state loop allocates nothing.
-        let mut elems = std::mem::take(&mut self.dispatch_scratch);
-        let mut spans = std::mem::take(&mut self.span_scratch);
-        let mut conns = std::mem::take(&mut self.conn_scratch);
-        {
-            {
-                let q = self.sources[s].queue();
-                conns.extend(
-                    (0..q.connections().len())
-                        .filter(|&ci| q.connection(ConnectionId(ci)).active)
-                        .map(|ci| (0, ci, q.connection(ConnectionId(ci)).dest)),
-                );
-            }
-            for &(_, ci, dest) in &conns {
-                // A partitioned link behaves like a stalled TCP connection:
-                // the send cursor stays put and the backlog flows on heal.
-                let dst = self.dest_machine(dest);
-                if self.cluster.network().is_partitioned(src_machine, dst) {
-                    continue;
-                }
-                let start = elems.len();
-                self.sources[s]
-                    .queue_mut()
-                    .drain_sendable_into(ConnectionId(ci), &mut elems);
-                if elems.len() > start {
-                    let last = elems[elems.len() - 1];
-                    let (stream, last_seq, n) =
-                        (last.stream.0, last.seq, (elems.len() - start) as u32);
-                    self.tracer
-                        .emit_data(ctx.now(), || TraceEvent::ElementSend {
-                            pe: TRACE_SOURCE_PE,
-                            replica: 0,
-                            stream,
-                            elements: n,
-                            last_seq,
-                        });
-                    spans.push((dest, start, elems.len()));
-                }
-            }
+        let mut sc = std::mem::take(&mut self.dispatch_scratch);
+        // A partition-held backlog needs no note: every source tick
+        // dispatches again.
+        self.collect_sendable(self.sources[s].queue(), 0, src_machine, &mut sc.conns);
+        let sender = (TRACE_SOURCE_PE, 0);
+        for &(_, ci, dest) in &sc.conns {
+            let start = sc.elems.len();
+            self.sources[s]
+                .queue_mut()
+                .drain_sendable_into(ConnectionId(ci), &mut sc.elems);
+            self.record_drained(ctx.now(), sender, dest, start, &sc.elems, &mut sc.spans);
         }
         if let Some(lin) = self.lineage.as_deref_mut() {
             // Roots enter the lineage here: a source element's emission is
@@ -410,18 +405,76 @@ impl HaWorld {
             // Re-drains after a rewind and the AS second connection both
             // no-op (first-writer-wins).
             let now = ctx.now();
-            for e in &elems {
+            for e in &sc.elems {
                 lin.record_root((e.stream.0, e.seq), e.created_at);
                 lin.note_sent((e.stream.0, e.seq), now);
             }
         }
-        self.transmit_spans(ctx, src_machine, false, &elems, &spans);
-        elems.clear();
-        spans.clear();
-        conns.clear();
-        self.dispatch_scratch = elems;
-        self.span_scratch = spans;
-        self.conn_scratch = conns;
+        self.transmit_spans(ctx, src_machine, false, &sc.elems, &sc.spans);
+        sc.clear();
+        self.dispatch_scratch = sc;
+    }
+
+    /// Appends `(port, connection, dest)` for every connection of `q` that
+    /// needs a drain and whose link from `src` is up. Idle connections are
+    /// skipped before any lookup. A partitioned link behaves like a
+    /// stalled TCP connection: its cursor stays put and the backlog flows
+    /// at the first dispatch after the heal. Returns `true` if a partition
+    /// held back such a backlog.
+    #[inline]
+    fn collect_sendable(
+        &self,
+        q: &OutputQueue<Dest>,
+        port: usize,
+        src: MachineId,
+        conns: &mut Vec<(usize, usize, Dest)>,
+    ) -> bool {
+        let mut held = false;
+        for ci in 0..q.connections().len() {
+            if !q.needs_drain(ConnectionId(ci)) {
+                continue;
+            }
+            let dest = q.connection(ConnectionId(ci)).dest;
+            if self
+                .cluster
+                .network()
+                .is_partitioned(src, self.dest_machine(dest))
+            {
+                held = true;
+            } else {
+                conns.push((port, ci, dest));
+            }
+        }
+        held
+    }
+
+    /// Traces one connection's drain — the elements `elems[start..]`, sent
+    /// by `sender` (trace `pe`, `replica`) — and records its span for
+    /// [`HaWorld::transmit_spans`]. A drain that only pulled a cursor back
+    /// to the head appended nothing and records nothing.
+    #[inline]
+    fn record_drained(
+        &mut self,
+        now: SimTime,
+        sender: (u32, u8),
+        dest: Dest,
+        start: usize,
+        elems: &[DataElement],
+        spans: &mut Vec<(Dest, usize, usize)>,
+    ) {
+        let Some(last) = elems[start..].last() else {
+            return;
+        };
+        let (pe, replica) = sender;
+        let (stream, last_seq, n) = (last.stream.0, last.seq, (elems.len() - start) as u32);
+        self.tracer.emit_data(now, || TraceEvent::ElementSend {
+            pe,
+            replica,
+            stream,
+            elements: n,
+            last_seq,
+        });
+        spans.push((dest, start, elems.len()));
     }
 
     /// Transmits the drained spans through the world's [`OutputSession`]:
@@ -500,75 +553,57 @@ impl HaWorld {
         );
     }
 
-    /// Drains every connection of every output port of an instance and
-    /// transmits the new elements.
+    /// Drains every sendable connection of an instance's pending output
+    /// ports, in ascending port order, and transmits the new elements. The
+    /// cost follows the ports that produced or were rewound, not the port
+    /// count: a router's element visits one of its thousands of ports.
     pub(crate) fn dispatch_outputs(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
         let (pe, replica) = unslot(slot);
         let src_machine = self.instance_machine[slot];
-        // Same reused-buffer pattern as `dispatch_source_outputs`.
-        let mut elems = std::mem::take(&mut self.dispatch_scratch);
-        let mut spans = std::mem::take(&mut self.span_scratch);
-        let mut conns = std::mem::take(&mut self.conn_scratch);
-        {
-            {
-                let inst = match self.instances[slot].as_ref() {
-                    Some(i) => i,
-                    None => {
-                        self.dispatch_scratch = elems;
-                        self.span_scratch = spans;
-                        self.conn_scratch = conns;
-                        return;
-                    }
-                };
-                conns.extend((0..inst.output_ports()).flat_map(|port| {
-                    (0..inst.output(port).connections().len()).filter_map(move |ci| {
-                        let c = inst.output(port).connection(ConnectionId(ci));
-                        c.active.then_some((port, ci, c.dest))
-                    })
-                }));
-            }
-            for &(port, ci, dest) in &conns {
-                // Stalled-TCP semantics across partitions: keep the cursor.
-                let dst = self.dest_machine(dest);
-                if self.cluster.network().is_partitioned(src_machine, dst) {
-                    continue;
-                }
-                let inst = self.instances[slot].as_mut().expect("checked");
-                let start = elems.len();
-                inst.output_mut(port)
-                    .drain_sendable_into(ConnectionId(ci), &mut elems);
-                if elems.len() > start {
-                    let last = elems[elems.len() - 1];
-                    let (stream, last_seq, n) =
-                        (last.stream.0, last.seq, (elems.len() - start) as u32);
-                    self.tracer
-                        .emit_data(ctx.now(), || TraceEvent::ElementSend {
-                            pe: pe.0,
-                            replica: replica_code(replica),
-                            stream,
-                            elements: n,
-                            last_seq,
-                        });
-                    spans.push((dest, start, elems.len()));
-                }
-            }
+        let Some(inst) = self.instances[slot].as_mut() else {
+            return;
+        };
+        let mut sc = std::mem::take(&mut self.dispatch_scratch);
+        inst.take_pending_ports(&mut sc.ports);
+        #[cfg(debug_assertions)]
+        assert_no_unlisted_backlog(inst, &sc.ports);
+        let inst = self.instances[slot].as_ref().expect("checked");
+        // Keep only the ports a partition held back, and put them back in
+        // the pending set.
+        sc.ports.retain(|&port| {
+            self.collect_sendable(inst.output(port), port, src_machine, &mut sc.conns)
+        });
+        let inst = self.instances[slot].as_mut().expect("checked");
+        for &port in &sc.ports {
+            inst.mark_pending(port);
+        }
+        let sender = (pe.0, replica_code(replica));
+        for &(port, ci, dest) in &sc.conns {
+            let start = sc.elems.len();
+            self.instances[slot]
+                .as_mut()
+                .expect("checked")
+                .drain_sendable_into(port, ConnectionId(ci), &mut sc.elems);
+            self.record_drained(ctx.now(), sender, dest, start, &sc.elems, &mut sc.spans);
         }
         if let Some(lin) = self.lineage.as_deref_mut() {
             // Hop records were created when the producing element finished;
             // checkpoint-restored elements with no record no-op here.
             let now = ctx.now();
-            for e in &elems {
+            for e in &sc.elems {
                 lin.note_sent((e.stream.0, e.seq), now);
             }
         }
         let produced_by_secondary = replica == Replica::Secondary;
-        self.transmit_spans(ctx, src_machine, produced_by_secondary, &elems, &spans);
-        elems.clear();
-        spans.clear();
-        conns.clear();
-        self.dispatch_scratch = elems;
-        self.span_scratch = spans;
-        self.conn_scratch = conns;
+        self.transmit_spans(
+            ctx,
+            src_machine,
+            produced_by_secondary,
+            &sc.elems,
+            &sc.spans,
+        );
+        sc.clear();
+        self.dispatch_scratch = sc;
     }
 
     // ---- machine tick: CPU task completions ----
@@ -1252,6 +1287,22 @@ impl HaWorld {
         }
         // Safe point: no observation range outlives its sweep.
         self.sweep_arena.reset();
+    }
+}
+
+/// Debug-build guard of the pending-port invariant: a port missing from
+/// the taken pending set has no active connection with unsent elements.
+#[cfg(debug_assertions)]
+fn assert_no_unlisted_backlog(inst: &sps_engine::PeInstance, pending: &[usize]) {
+    for port in 0..inst.output_ports() {
+        let q = inst.output(port);
+        let unlisted_backlog = pending.binary_search(&port).is_err()
+            && (0..q.connections().len()).any(|ci| q.needs_drain(ConnectionId(ci)));
+        assert!(
+            !unlisted_backlog,
+            "{} port {port} has unsent elements but is not pending",
+            inst.id()
+        );
     }
 }
 

@@ -547,15 +547,8 @@ pub struct HaWorld {
     /// connection, keyed by `(is_instance, source-or-slot, port, conn)`;
     /// a stalled connection is one that repeats its previous observation.
     pub(crate) rel_sweep_prev: BTreeMap<(bool, usize, usize, usize), (u64, u64)>,
-    /// Reusable buffer for the dispatch hot path: elements drained from a
-    /// hop's output connections, emptied before return.
-    pub(crate) dispatch_scratch: Vec<sps_engine::DataElement>,
-    /// Reusable buffer for dispatch: `(dest, start, end)` spans into
-    /// `dispatch_scratch`, emptied before return.
-    pub(crate) span_scratch: Vec<(sps_engine::Dest, usize, usize)>,
-    /// Reusable buffer for dispatch: `(port, conn, dest)` of the active
-    /// connections of the hop being dispatched, emptied before return.
-    pub(crate) conn_scratch: Vec<(usize, usize, sps_engine::Dest)>,
+    /// Reusable buffers for the dispatch hot path, emptied before return.
+    pub(crate) dispatch_scratch: crate::data_plane::DispatchScratch,
     /// Reusable buffer for element completion: `(port, element)` outputs of
     /// the element just finished, emptied before return.
     pub(crate) finish_scratch: Vec<(usize, sps_engine::DataElement)>,
@@ -715,9 +708,7 @@ impl HaWorld {
             rel_inflight: BTreeMap::new(),
             rel_seen: BTreeSet::new(),
             rel_sweep_prev: BTreeMap::new(),
-            dispatch_scratch: Vec::new(),
-            span_scratch: Vec::new(),
-            conn_scratch: Vec::new(),
+            dispatch_scratch: Default::default(),
             finish_scratch: Vec::new(),
             ack_scratch: Vec::new(),
             task_scratch: Vec::new(),

@@ -181,6 +181,15 @@ pub struct PeInstance {
     /// Reused per-element output collector; capacity persists across
     /// elements so the steady-state processing loop never allocates.
     scratch_emitter: Emitter,
+    /// Output ports that may have an active connection needing a drain
+    /// (see [`OutputQueue::needs_drain`]): bit `p` of `pending_low` for
+    /// the first 64 ports, then one word per further 64 in
+    /// `pending_high`. Dispatch visits only these, so its cost follows what
+    /// was produced, not the port count. `pending_high` is sized on its
+    /// first mark, so deploying an instance allocates nothing and only
+    /// instances wider than 64 ports (shard routers) ever do.
+    pending_low: u64,
+    pending_high: Vec<u64>,
 }
 
 impl PeInstance {
@@ -204,6 +213,8 @@ impl PeInstance {
             next_input_port: 0,
             processed_total: 0,
             scratch_emitter: Emitter::default(),
+            pending_low: 0,
+            pending_high: Vec::new(),
         }
     }
 
@@ -240,9 +251,56 @@ impl PeInstance {
         &self.outputs[port]
     }
 
-    /// The output queue on `port`, exclusively.
+    /// The output queue on `port`, exclusively. Marks the port pending:
+    /// any change through here (activation, cursor rewind) may make it
+    /// sendable.
     pub fn output_mut(&mut self, port: usize) -> &mut OutputQueue<Dest> {
+        self.mark_pending(port);
         &mut self.outputs[port]
+    }
+
+    /// Adds `port` to the pending set, so the next
+    /// [`PeInstance::take_pending_ports`] hands it out.
+    #[inline]
+    pub fn mark_pending(&mut self, port: usize) {
+        debug_assert!(port < self.outputs.len(), "no output port {port}");
+        if port < 64 {
+            self.pending_low |= 1 << port;
+            return;
+        }
+        if self.pending_high.is_empty() {
+            self.pending_high = vec![0; (self.outputs.len() - 64).div_ceil(64)];
+        }
+        let high = port - 64;
+        self.pending_high[high / 64] |= 1 << (high % 64);
+    }
+
+    /// Moves the pending set into `out` in ascending port order and empties
+    /// it. `out` is appended to, so a caller-owned buffer keeps its
+    /// capacity across calls.
+    #[inline]
+    pub fn take_pending_ports(&mut self, out: &mut Vec<usize>) {
+        let words = std::iter::once(&mut self.pending_low).chain(&mut self.pending_high);
+        for (w, word) in words.enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Drains the unsent elements of one connection into `out` (see
+    /// [`OutputQueue::drain_sendable_into`]) without marking the port
+    /// pending: a drained connection needs no further drain.
+    #[inline]
+    pub fn drain_sendable_into(
+        &mut self,
+        port: usize,
+        conn: ConnectionId,
+        out: &mut Vec<DataElement>,
+    ) -> usize {
+        self.outputs[port].drain_sendable_into(conn, out)
     }
 
     /// Number of output ports.
@@ -362,6 +420,7 @@ impl PeInstance {
         let _ = now;
         for (out_port, payload) in emitter.drain() {
             let produced = self.outputs[out_port].produce(payload, elem.created_at);
+            self.mark_pending(out_port);
             out.push((out_port, produced));
         }
         self.scratch_emitter = emitter;
@@ -534,6 +593,10 @@ impl PeInstance {
         self.operator.restore(&ckpt.operator_state);
         for (q, s) in self.outputs.iter_mut().zip(&ckpt.outputs) {
             q.restore(s);
+        }
+        // Restored cursors may sit anywhere in the retained backlog.
+        for port in 0..self.outputs.len() {
+            self.mark_pending(port);
         }
         for (q, positions) in self.inputs.iter_mut().zip(&ckpt.input_positions) {
             q.restore(positions);
@@ -709,6 +772,98 @@ mod tests {
             inst.finish_inflight(SimTime::ZERO);
         }
         assert_eq!(ports, vec![0, 1, 0], "round-robin interleaves ports");
+    }
+
+    /// A four-port shard router with every port connected to a sink.
+    fn router_instance() -> PeInstance {
+        let mut inst = PeInstance::new(
+            InstanceId {
+                pe: PeId(4),
+                replica: Replica::Primary,
+            },
+            OperatorSpec::ShardRouter {
+                shards: 4,
+                demand_secs: 1e-6,
+            },
+            1,
+            &[StreamId(40), StreamId(41), StreamId(42), StreamId(43)],
+        );
+        inst.register_input_stream(0, StreamId(1));
+        for port in 0..4 {
+            inst.connect_output(port, Dest::Sink(SinkId(port as u32)), true, true);
+        }
+        inst
+    }
+
+    fn taken(inst: &mut PeInstance) -> Vec<usize> {
+        let mut ports = Vec::new();
+        inst.take_pending_ports(&mut ports);
+        ports
+    }
+
+    #[test]
+    fn a_produce_marks_only_its_own_port() {
+        let mut inst = router_instance();
+        assert!(
+            taken(&mut inst).is_empty(),
+            "a fresh instance has nothing to send"
+        );
+        let key = (0..).find(|&k| crate::shard_of(k, 4) == 2).unwrap();
+        inst.offer(
+            0,
+            DataElement {
+                key,
+                ..elem(1, 1, 0.0)
+            },
+        );
+        inst.start_next().unwrap();
+        let out = inst.finish_inflight(SimTime::ZERO);
+        assert_eq!(out[0].0, 2);
+        assert_eq!(taken(&mut inst), vec![2]);
+        assert!(taken(&mut inst).is_empty(), "taking empties the set");
+    }
+
+    #[test]
+    fn output_mut_and_restore_mark_ports() {
+        let mut inst = router_instance();
+        inst.output_mut(3).set_active(ConnectionId(0), true);
+        inst.output_mut(1);
+        assert_eq!(taken(&mut inst), vec![1, 3], "ascending port order");
+        let ckpt = inst.snapshot(SimTime::ZERO);
+        inst.restore(&ckpt);
+        assert_eq!(taken(&mut inst), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_fully_drained_port_leaves_the_set() {
+        let mut inst = counter_instance();
+        inst.offer(0, elem(1, 1, 1.0));
+        inst.start_next().unwrap();
+        inst.finish_inflight(SimTime::ZERO);
+        assert!(inst.output(0).needs_drain(ConnectionId(0)));
+        assert_eq!(taken(&mut inst), vec![0]);
+        let mut sent = Vec::new();
+        assert_eq!(inst.drain_sendable_into(0, ConnectionId(0), &mut sent), 1);
+        assert!(!inst.output(0).needs_drain(ConnectionId(0)));
+        assert!(taken(&mut inst).is_empty(), "draining does not re-mark");
+    }
+
+    #[test]
+    fn ports_past_one_word_round_trip() {
+        let streams: Vec<StreamId> = (0..130).map(StreamId).collect();
+        let mut inst = PeInstance::new(
+            InstanceId {
+                pe: PeId(5),
+                replica: Replica::Primary,
+            },
+            OperatorSpec::Counter { demand_secs: 1e-3 },
+            1,
+            &streams,
+        );
+        for port in [129, 0, 64, 63] {
+            inst.mark_pending(port);
+        }
+        assert_eq!(taken(&mut inst), vec![0, 63, 64, 129]);
     }
 
     #[test]

@@ -148,6 +148,18 @@ impl<D> OutputQueue<D> {
         out
     }
 
+    /// `true` if draining `conn` would do anything: it is active and its
+    /// send cursor is off the head of the stream. Normally the cursor is
+    /// behind the head, with unsent elements; a replay that resumes a
+    /// consumer from a position its rolled-back producer has not reached
+    /// again leaves it past the head, and a drain pulls it back. Dispatch
+    /// tests this before any destination lookup, so idle connections cost
+    /// one comparison.
+    pub fn needs_drain(&self, conn: ConnectionId) -> bool {
+        let c = &self.connections[conn.0];
+        c.active && c.next_to_send != self.next_seq
+    }
+
     /// Like [`OutputQueue::drain_sendable`], but appends to a caller-owned
     /// buffer instead of allocating a fresh `Vec` — the dispatch hot path
     /// reuses one scratch buffer across every connection of a hop. Returns
@@ -569,6 +581,32 @@ mod tests {
         assert!(q.drain_sendable(c).is_empty());
         q.set_active(c, true);
         assert_eq!(q.drain_sendable(c).len(), 1);
+    }
+
+    #[test]
+    fn needs_drain_until_the_cursor_reaches_the_head() {
+        let mut q = mk_queue();
+        let live = q.connect("live", true, true);
+        let standby = q.connect("standby", false, false);
+        assert!(!q.needs_drain(live), "nothing produced yet");
+        q.produce(payload(1.0), SimTime::ZERO);
+        assert!(q.needs_drain(live));
+        assert!(!q.needs_drain(standby), "inactive connections send nothing");
+        q.drain_sendable(live);
+        assert!(!q.needs_drain(live), "fully drained");
+        q.set_next_to_send(live, 1);
+        assert!(q.needs_drain(live), "a rewind makes the backlog sendable");
+        q.set_active(standby, true);
+        assert!(q.needs_drain(standby));
+        q.drain_sendable(standby);
+        q.set_next_to_send(live, 5);
+        assert!(
+            q.needs_drain(live),
+            "a cursor past the head needs pulling back"
+        );
+        assert!(q.drain_sendable(live).is_empty());
+        assert!(!q.needs_drain(live));
+        assert_eq!(q.connection(live).next_to_send, q.next_seq());
     }
 
     #[test]
