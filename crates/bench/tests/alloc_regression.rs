@@ -13,11 +13,13 @@
 
 #![cfg(feature = "bench")]
 
-use sps_cluster::FaultTopology;
+use std::collections::HashSet;
+
+use sps_cluster::{FaultTopology, MachineId};
 use sps_engine::{Dest, OutputQueue, Payload, StreamId, SubjobId};
 use sps_ha::{Event, HaMode, HaSimulation, Msg, RateProfile};
 use sps_sim::counting_alloc::{self, CountingAllocator};
-use sps_sim::{SimDuration, SimTime};
+use sps_sim::{SimDuration, SimTime, TimerGen};
 use sps_workloads::{chain_job_with, sharded_job, sharded_placement, ZipfKeys};
 
 #[global_allocator]
@@ -70,21 +72,14 @@ fn fig06_steady_state_none_mode_is_allocation_free() {
     );
 }
 
-/// A 256-shard job on 83 machines (the `bench_scale` cell shape, without
-/// standbys): the router fans out to 256 ports, and dispatch reuses the
-/// world's pending-port list like every other scratch buffer, so no
-/// handler allocates per event. The sink alone keeps every latency sample
-/// for the figures (a series and a CDF, two `Vec`s), so its deliveries
-/// allocate exactly when those stores double — a count logarithmic in the
-/// run length, attributed per event here rather than left to chance in
-/// where the window falls.
-#[test]
-fn sharded_steady_state_none_mode_is_allocation_free() {
+/// A 256-shard job on 83 machines (the `bench_scale` cell shape) under
+/// `mode`, fed 2,000 Zipf-keyed elements/s.
+fn sharded_sim(mode: HaMode) -> HaSimulation {
     let job = sharded_job(256, 2e-5, 64);
     let topology = FaultTopology::grid(83, 4, 3);
     let placement = sharded_placement(&job, 83, &topology);
-    let mut sim = HaSimulation::builder(job)
-        .mode(HaMode::None)
+    HaSimulation::builder(job)
+        .mode(mode)
         .topology(topology)
         .placement(placement)
         .source_profile(
@@ -93,13 +88,28 @@ fn sharded_steady_state_none_mode_is_allocation_free() {
             ZipfKeys::new(1_000_000, 1.05).payload_gen(),
         )
         .seed(2010)
-        .build();
+        .build()
+}
+
+/// The 256-shard job without standbys (`HaMode::None`): the router fans
+/// out to 256 ports, and dispatch reuses the world's pending-port list
+/// like every other scratch buffer, so no handler allocates per event. The sink alone keeps every latency sample
+/// for the figures (a series and a CDF, two `Vec`s), so its deliveries
+/// allocate exactly when those stores double — a count logarithmic in the
+/// run length, attributed per event here rather than left to chance in
+/// where the window falls.
+#[test]
+fn sharded_steady_state_none_mode_is_allocation_free() {
+    let mut sim = sharded_sim(HaMode::None);
     sim.run_until(SimTime::from_secs(1)); // warmup: caches, scratch, chunks
     let accepted = |sim: &HaSimulation| sim.world().sinks()[0].accepted();
     let accepted0 = accepted(&sim);
     let (mut events, mut allocs, mut sink_allocs) = (0u64, 0u64, 0u64);
     while events < 10_000 {
-        let (at_sink, probe) = sim
+        // Count this thread's allocations, not the probe's process-wide
+        // figure: other tests in this binary run simulations concurrently.
+        let a0 = counting_alloc::thread_allocations();
+        let (at_sink, _) = sim
             .step_profiled(|e| {
                 matches!(
                     e,
@@ -114,10 +124,11 @@ fn sharded_steady_state_none_mode_is_allocation_free() {
             })
             .expect("an open-loop source keeps the queue non-empty");
         events += 1;
+        let step_allocs = counting_alloc::thread_allocations() - a0;
         if at_sink {
-            sink_allocs += probe.allocations;
+            sink_allocs += step_allocs;
         } else {
-            allocs += probe.allocations;
+            allocs += step_allocs;
         }
     }
     assert_eq!(
@@ -131,6 +142,67 @@ fn sharded_steady_state_none_mode_is_allocation_free() {
     assert!(
         sink_allocs <= 2 * doublings,
         "sink deliveries made {sink_allocs} allocations for {doublings} sample-store doublings"
+    );
+}
+
+/// Timer events follow deadlines, not re-arms. With a monitor per shard
+/// subjob, one heartbeat tick per interval serves them all. A machine tick
+/// either completes work or is postponed — the completion moved later, so
+/// the tick re-fires once with its token unchanged. Ticks that do neither
+/// (superseded by a deadline that moved *earlier*) stay rare; re-arming
+/// eagerly left one per re-arm, a third of all ticks on this job.
+#[test]
+fn sharded_timer_events_follow_deadlines() {
+    enum Tick {
+        Heartbeat,
+        Machine(u32, TimerGen),
+        Other,
+    }
+
+    let mut sim = sharded_sim(HaMode::Hybrid);
+    // Off the heartbeat grid, so the last interval's tick has fired.
+    let end = SimTime::from_millis(2_050);
+    let completed = |sim: &HaSimulation, m: u32| {
+        sim.world()
+            .cluster()
+            .machine(MachineId(m))
+            .tasks_completed()
+    };
+    let mut last_completed: Vec<u64> = (0..sim.world().cluster().len() as u32)
+        .map(|m| completed(&sim, m))
+        .collect();
+    let mut tokens = HashSet::new();
+    let (mut heartbeat_ticks, mut machine_ticks, mut idle, mut refired) = (0, 0, 0, 0);
+    while sim.now() < end {
+        let (tick, _) = sim
+            .step_profiled(|e| match *e {
+                Event::HeartbeatTick { .. } => Tick::Heartbeat,
+                Event::MachineTick { machine, gen } => Tick::Machine(machine, gen),
+                _ => Tick::Other,
+            })
+            .expect("an open-loop source keeps the queue non-empty");
+        match tick {
+            Tick::Heartbeat => heartbeat_ticks += 1,
+            Tick::Machine(machine, gen) => {
+                machine_ticks += 1;
+                refired += u64::from(!tokens.insert((machine, gen)));
+                let now_completed = completed(&sim, machine);
+                idle += u64::from(now_completed == last_completed[machine as usize]);
+                last_completed[machine as usize] = now_completed;
+            }
+            Tick::Other => {}
+        }
+    }
+    let intervals = sim.now().as_nanos() / sim.world().config().heartbeat_interval.as_nanos();
+    assert_eq!(
+        heartbeat_ticks, intervals,
+        "one heartbeat tick per interval"
+    );
+    // Every postponed tick is idle once and then re-fires.
+    let wasted = idle - refired;
+    assert!(
+        20 * wasted <= machine_ticks,
+        "{wasted} of {machine_ticks} machine ticks completed nothing and were not postponed"
     );
 }
 

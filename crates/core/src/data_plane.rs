@@ -4,7 +4,7 @@
 use sps_cluster::{LoadComponent, MachineId};
 use sps_engine::{ConnectionId, DataElement, Dest, Offer, OutputQueue, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
-use sps_sim::{Ctx, SimTime, TimerGen};
+use sps_sim::{Ctx, Firing, SimTime, TimerGen};
 use sps_trace::{DropReason, TraceEvent};
 
 use crate::message::{Msg, ProducerAddr};
@@ -230,19 +230,23 @@ impl HaWorld {
     }
 
     /// Re-arms a machine's completion timer after any change to its task
-    /// set or load.
+    /// set or load. The timer is a deadline slot: a completion that moved
+    /// later postpones the outstanding tick instead of scheduling another,
+    /// so a same-instant burst of submits costs one tick, not one each.
     pub(crate) fn rearm_machine(&mut self, ctx: &mut Ctx<Event>, machine: MachineId) {
         let idx = machine.0 as usize;
         match self.cluster.machine(machine).next_completion() {
             Some(at) => {
-                let gen = self.machine_timers[idx].arm();
-                ctx.schedule_at(
-                    at.max(ctx.now()),
-                    Event::MachineTick {
-                        machine: machine.0,
-                        gen,
-                    },
-                );
+                let at = at.max(ctx.now());
+                if let Some(gen) = self.machine_timers[idx].arm_at(at) {
+                    ctx.schedule_at(
+                        at,
+                        Event::MachineTick {
+                            machine: machine.0,
+                            gen,
+                        },
+                    );
+                }
             }
             None => self.machine_timers[idx].cancel(),
         }
@@ -610,8 +614,16 @@ impl HaWorld {
 
     pub(crate) fn on_machine_tick(&mut self, ctx: &mut Ctx<Event>, machine: u32, gen: TimerGen) {
         let m = MachineId(machine);
-        if !self.machine_timers[machine as usize].fire(gen) {
-            return;
+        match self.machine_timers[machine as usize].fire_at(gen) {
+            Firing::Due => {}
+            Firing::Stale => return,
+            // The completion moved later since this tick was scheduled:
+            // wait for it. Advancing the machine at this non-completion
+            // instant would change the float rounding of its remaining work.
+            Firing::Postponed(at) => {
+                ctx.schedule_at(at, Event::MachineTick { machine, gen });
+                return;
+            }
         }
         self.cluster.machine_mut(m).advance(ctx.now());
         // Reused world scratch: completions fire once per task — the
@@ -1315,7 +1327,8 @@ pub(crate) fn find_conn(q: &sps_engine::OutputQueue<Dest>, dest: Dest) -> Option
 }
 
 /// Schedules the initial events of a freshly built world: source ticks,
-/// heartbeat ticks, and (for timer-driven protocols) checkpoint timers.
+/// the heartbeat tick shared by every monitor, and (for timer-driven
+/// protocols) checkpoint timers.
 pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
     for s in 0..world.sources.len() {
         let gap = world.sources[s].next_gap(ctx.now(), ctx.rng());
@@ -1328,10 +1341,10 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
             },
         );
     }
-    for m in 0..world.monitors.len() {
+    if !world.monitors.is_empty() {
         ctx.schedule_in(
             world.cfg.heartbeat_interval,
-            Event::HeartbeatTick { monitor: m as u32 },
+            Event::HeartbeatTick { monitor: 0 },
         );
     }
     // The telemetry sampler runs only when a trace sink is installed, so

@@ -99,12 +99,24 @@ impl HaWorld {
 
     // ---- heartbeat ----
 
-    pub(crate) fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<Event>, monitor: u32) {
+    /// One heartbeat period elapsed for monitors `first..`, which run in
+    /// index order. The world schedules one tick from monitor 0, so a
+    /// single event per interval serves every monitor, in the order their
+    /// same-instant per-monitor ticks would have popped.
+    pub(crate) fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<Event>, first: u32) {
         // Periodic forever: reschedule first.
         ctx.schedule_in(
             self.cfg.heartbeat_interval,
-            Event::HeartbeatTick { monitor },
+            Event::HeartbeatTick { monitor: first },
         );
+        for monitor in first..self.monitors.len() as u32 {
+            self.heartbeat_period(ctx, monitor);
+        }
+    }
+
+    /// One monitor's heartbeat period: judge the previous ping, act on a
+    /// miss streak, and send the next ping.
+    fn heartbeat_period(&mut self, ctx: &mut Ctx<Event>, monitor: u32) {
         let m = monitor as usize;
         let sj_idx = self.monitors[m].subjob.0 as usize;
         let (mon_machine, target_machine) = {

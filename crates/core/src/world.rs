@@ -153,9 +153,11 @@ pub enum Event {
         /// The message.
         msg: Msg,
     },
-    /// A monitor's heartbeat period elapsed.
+    /// A heartbeat period elapsed. One periodic tick serves every monitor:
+    /// monitors `monitor..` run their period in index order.
     HeartbeatTick {
-        /// Monitor index.
+        /// The first monitor this tick serves; the world's single tick
+        /// starts at 0.
         monitor: u32,
     },
     /// A synchronous (pe = `None`) or individual (pe = `Some`) checkpoint

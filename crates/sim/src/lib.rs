@@ -9,7 +9,7 @@
 //! * [`Simulation`] / [`World`] / [`Ctx`] — the run loop: pop the earliest
 //!   event, advance the clock, let the world react and schedule more;
 //! * [`TimerSlot`] — O(1) cancellable/re-armable timers via generation
-//!   tokens;
+//!   tokens, with a deadline mode that postpones instead of re-scheduling;
 //! * [`SimRng`] — a seeded PRNG with the distributions the cluster models
 //!   need (exponential, Pareto, normal, log-normal) and order-independent
 //!   substream forking.
@@ -67,4 +67,4 @@ pub use sim::StepProbe;
 pub use sim::{Ctx, Simulation, World};
 pub use stats::SimStats;
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerGen, TimerSlot};
+pub use timer::{Firing, TimerGen, TimerSlot};

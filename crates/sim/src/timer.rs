@@ -17,16 +17,57 @@
 //! slot.cancel();
 //! assert!(!slot.is_current(second));
 //! ```
+//!
+//! A slot can also serve a *deadline* that moves often but fires rarely,
+//! such as a CPU's next task completion. [`TimerSlot::arm_at`] schedules a
+//! new firing only when the deadline moves *earlier* than the outstanding
+//! one; a later deadline just postpones the outstanding firing, which
+//! [`TimerSlot::fire_at`] then reports as [`Firing::Postponed`] so the owner
+//! re-schedules it once. A burst of later deadlines costs one event, not
+//! one per move, while the owner's handler still runs exactly at the last
+//! requested deadline.
+//!
+//! ```
+//! use sps_sim::{Firing, SimTime, TimerSlot};
+//!
+//! let ms = SimTime::from_millis;
+//! let mut slot = TimerSlot::new();
+//! let tok = slot.arm_at(ms(10)).expect("nothing outstanding: schedule");
+//! assert_eq!(slot.arm_at(ms(30)), None); // later: postpone, schedule nothing
+//! assert_eq!(slot.fire_at(tok), Firing::Postponed(ms(30))); // at 10 ms
+//! assert_eq!(slot.fire_at(tok), Firing::Due); // at 30 ms: run the handler
+//! ```
+
+use crate::time::SimTime;
 
 /// An opaque generation token carried inside a scheduled timer event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerGen(u64);
+
+/// What a deadline-timer firing asks its owner to do (see
+/// [`TimerSlot::fire_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Firing {
+    /// The token was superseded or cancelled: ignore the event.
+    Stale,
+    /// The deadline moved later while this firing was outstanding:
+    /// schedule the same token again at the given time and do nothing
+    /// else now.
+    Postponed(SimTime),
+    /// The deadline is now: run the handler. The slot is disarmed.
+    Due,
+}
 
 /// The owner-side state of one logical (re-armable, cancellable) timer.
 #[derive(Debug, Clone, Default)]
 pub struct TimerSlot {
     gen: u64,
     armed: bool,
+    /// Deadline mode: when the outstanding firing was scheduled to fire.
+    due: SimTime,
+    /// Deadline mode: when the owner wants the handler to run. Later than
+    /// `due` exactly when the outstanding firing is postponed.
+    deadline: SimTime,
 }
 
 impl TimerSlot {
@@ -72,6 +113,34 @@ impl TimerSlot {
     pub fn is_armed(&self) -> bool {
         self.armed
     }
+
+    /// Deadline mode: asks for the handler to run at `at`. Returns the
+    /// token to schedule at `at` when no firing is outstanding or `at` is
+    /// earlier than the outstanding one (which becomes stale). Otherwise
+    /// returns `None` and schedules nothing: the outstanding firing stands,
+    /// postponed to `at` if `at` is later.
+    pub fn arm_at(&mut self, at: SimTime) -> Option<TimerGen> {
+        self.deadline = at;
+        if self.armed && at >= self.due {
+            return None;
+        }
+        self.due = at;
+        Some(self.arm())
+    }
+
+    /// Deadline mode: consumes a firing of `token` scheduled by
+    /// [`TimerSlot::arm_at`] (or re-scheduled after [`Firing::Postponed`]).
+    pub fn fire_at(&mut self, token: TimerGen) -> Firing {
+        if !self.is_current(token) {
+            Firing::Stale
+        } else if self.deadline > self.due {
+            self.due = self.deadline;
+            Firing::Postponed(self.deadline)
+        } else {
+            self.armed = false;
+            Firing::Due
+        }
+    }
 }
 
 #[cfg(test)]
@@ -109,6 +178,43 @@ mod tests {
         let tok = slot.arm();
         slot.cancel();
         assert!(!slot.fire(tok));
+    }
+
+    #[test]
+    fn earlier_deadline_supersedes_the_outstanding_firing() {
+        let ms = SimTime::from_millis;
+        let mut slot = TimerSlot::new();
+        let late = slot.arm_at(ms(30)).unwrap();
+        let early = slot.arm_at(ms(10)).expect("earlier: schedule anew");
+        assert_eq!(slot.arm_at(ms(10)), None, "same deadline: nothing new");
+        assert_eq!(slot.fire_at(early), Firing::Due);
+        assert_eq!(slot.fire_at(late), Firing::Stale);
+    }
+
+    #[test]
+    fn postponed_firing_reports_the_last_deadline_once() {
+        let ms = SimTime::from_millis;
+        let mut slot = TimerSlot::new();
+        let tok = slot.arm_at(ms(10)).unwrap();
+        for later in [20, 40, 30] {
+            assert_eq!(slot.arm_at(ms(later)), None);
+        }
+        assert_eq!(slot.fire_at(tok), Firing::Postponed(ms(30)));
+        assert_eq!(slot.arm_at(ms(30)), None, "now outstanding at 30 ms");
+        assert_eq!(slot.fire_at(tok), Firing::Due);
+        assert!(!slot.is_armed());
+        assert_eq!(slot.fire_at(tok), Firing::Stale);
+    }
+
+    #[test]
+    fn cancel_stales_a_postponed_firing() {
+        let ms = SimTime::from_millis;
+        let mut slot = TimerSlot::new();
+        let tok = slot.arm_at(ms(10)).unwrap();
+        assert_eq!(slot.arm_at(ms(20)), None);
+        slot.cancel();
+        assert_eq!(slot.fire_at(tok), Firing::Stale);
+        assert!(slot.arm_at(ms(20)).is_some(), "re-arms after cancel");
     }
 
     #[test]
