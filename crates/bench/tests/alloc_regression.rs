@@ -20,6 +20,7 @@ use sps_engine::{Dest, OutputQueue, Payload, StreamId, SubjobId};
 use sps_ha::{Event, HaMode, HaSimulation, Msg, RateProfile};
 use sps_sim::counting_alloc::{self, CountingAllocator};
 use sps_sim::{SimDuration, SimTime, TimerGen};
+use sps_trace::LineageTable;
 use sps_workloads::{chain_job_with, sharded_job, sharded_placement, ZipfKeys};
 
 #[global_allocator]
@@ -142,6 +143,77 @@ fn sharded_steady_state_none_mode_is_allocation_free() {
     assert!(
         sink_allocs <= 2 * doublings,
         "sink deliveries made {sink_allocs} allocations for {doublings} sample-store doublings"
+    );
+}
+
+/// Lineage keeps one record per logical element on dense pages, so turning
+/// it on adds allocations only when a stream's sequence numbers move onto a
+/// fresh page — the page, plus at most one doubling of that stream's page
+/// directory — and when the delivery log doubles, not per record. Lineage
+/// never changes the schedule, so a lineage-off twin steps through the
+/// same events and its per-step allocations are subtracted: what remains
+/// is lineage's own, whatever the HA mode allocates for itself.
+#[test]
+fn lineage_allocates_per_page_not_per_record() {
+    let chain = |lineage: bool| {
+        HaSimulation::builder(chain_job_with(15e-6, 20, 8, 4))
+            .mode(HaMode::Hybrid)
+            .source_rate(10_000.0)
+            .seed(2010)
+            .lineage(lineage)
+            .build()
+    };
+    let (mut on, mut off) = (chain(true), chain(false));
+    on.run_until(SimTime::from_secs(1)); // warmup: caches, scratch, chunks
+    off.run_until(SimTime::from_secs(1));
+    let page = LineageTable::PAGE_LEN as u64;
+    // Highest sequence number recorded per stream; records are created in
+    // sequence order, so probing upward finds it.
+    let highest = |sim: &HaSimulation| -> Vec<u64> {
+        let lineage = sim.world().lineage().expect("lineage enabled");
+        (0u32..)
+            .map(|stream| {
+                (0u64..)
+                    .take_while(|&seq| seq == 0 || lineage.record((stream, seq)).is_some())
+                    .last()
+                    .expect("seq 0 is always taken")
+            })
+            .take_while(|&hi| hi > 0)
+            .collect()
+    };
+    let hi0 = highest(&on);
+    assert_eq!(hi0.len(), 9, "a source stream and one per PE");
+    let records0 = on.world().lineage().expect("on").len();
+    let accepted0 = on.world().sinks()[0].accepted();
+    let (mut events, mut allocs) = (0u64, 0i64);
+    let step = |sim: &mut HaSimulation| {
+        let a0 = counting_alloc::thread_allocations();
+        let (kind, _) = sim
+            .step_profiled(|e| e.kind_name())
+            .expect("an open-loop source keeps the queue non-empty");
+        (kind, (counting_alloc::thread_allocations() - a0) as i64)
+    };
+    while events < 10_000 {
+        let (kind_on, allocs_on) = step(&mut on);
+        let (kind_off, allocs_off) = step(&mut off);
+        assert_eq!(kind_on, kind_off, "lineage changed the schedule");
+        allocs += allocs_on - allocs_off;
+        events += 1;
+    }
+    let pages: u64 = highest(&on)
+        .iter()
+        .zip(&hi0)
+        .map(|(hi, hi0)| hi / page - hi0 / page)
+        .sum();
+    let records = on.world().lineage().expect("on").len() - records0;
+    let doublings = (accepted0..on.world().sinks()[0].accepted())
+        .filter(|n| n.is_power_of_two())
+        .count() as u64;
+    assert!(records > 4_000, "only {records} records in the window");
+    assert!(
+        allocs <= (2 * pages + doublings) as i64,
+        "lineage made {allocs} heap allocations over {events} events for {records} new \
+         records on {pages} new pages and {doublings} delivery-log doublings"
     );
 }
 

@@ -211,6 +211,15 @@ impl<D> OutputQueue<D> {
         }
         if floor > self.trimmed {
             self.trimmed = floor.min(self.next_seq - 1);
+            // A consumer can acknowledge past a connection's send cursor:
+            // it was fed by the other copy of this producer, or resumed
+            // from a position this rolled-back copy had not reached again.
+            // Trimming moves such cursors to the first retained element,
+            // so every connection's next element is still retained.
+            let first = self.trimmed + 1;
+            for c in &mut self.connections {
+                c.next_to_send = c.next_to_send.max(first);
+            }
         }
         removed
     }
@@ -622,6 +631,57 @@ mod tests {
         assert_eq!(q.retained_len(), 3);
         assert_eq!(q.trimmed_through(), 2);
         assert_eq!(q.register_ack(b, 5), 2, "min(4, 5) = 4");
+    }
+
+    #[test]
+    fn trim_moves_a_lagging_cursor_to_the_first_retained_element() {
+        // Active standby: both consumers were fed by the other copy of this
+        // producer and acknowledged 1..=3, which this copy never sent on
+        // `lagging` (its link was held).
+        let mut q = mk_queue();
+        let lagging = q.connect("lagging", true, true);
+        let live = q.connect("live", true, true);
+        for i in 0..3 {
+            q.produce(payload(i as f64), SimTime::ZERO);
+        }
+        q.drain_sendable(live);
+        q.register_ack(live, 3);
+        assert_eq!(q.register_ack(lagging, 3), 3);
+        assert_eq!(q.connection(lagging).next_to_send, 4);
+        q.produce(payload(3.0), SimTime::ZERO);
+        q.produce(payload(4.0), SimTime::ZERO);
+        let sent: Vec<u64> = q.drain_sendable(lagging).iter().map(|e| e.seq).collect();
+        assert_eq!(sent, vec![4, 5], "the backlog past the trim point is sent");
+    }
+
+    #[test]
+    fn restored_producer_behind_its_consumer_keeps_its_backlog() {
+        // Rollback resumes the consumer at 8 from a producer copy whose
+        // state only reaches 2; the drain pulls the cursor back to the head.
+        let mut q = mk_queue();
+        let c = q.connect("down", true, true);
+        for i in 0..2 {
+            q.produce(payload(i as f64), SimTime::ZERO);
+        }
+        q.set_acked(c, 8);
+        assert_eq!(q.trimmed_through(), 2, "trim stops at the head");
+        q.set_next_to_send(c, 9);
+        assert!(q.drain_sendable(c).is_empty());
+        assert_eq!(q.connection(c).next_to_send, 3);
+        // A later checkpoint restores the copy to 12 produced, 5 trimmed;
+        // the next trim reaches the consumer's acknowledged 8.
+        let mut ahead = mk_queue();
+        for i in 0..12 {
+            ahead.produce(payload(i as f64), SimTime::ZERO);
+        }
+        let a = ahead.connect("down", true, true);
+        ahead.register_ack(a, 5);
+        q.restore(&ahead.snapshot());
+        assert_eq!(q.connection(c).next_to_send, 6);
+        q.set_counts_for_trim(c, true);
+        assert_eq!(q.trimmed_through(), 8);
+        let sent: Vec<u64> = q.drain_sendable(c).iter().map(|e| e.seq).collect();
+        assert_eq!(sent, vec![9, 10, 11, 12]);
     }
 
     #[test]

@@ -100,39 +100,147 @@ fn ms_between(from: SimTime, to: SimTime) -> f64 {
 
 /// The lineage table of one run. All mutation is first-writer-wins; see
 /// the module docs for why that is exactly right under replication.
+///
+/// Records are stored densely by sequence number: output queues number
+/// each stream from 1 upward, so stream id → page index → slot is three
+/// array loads, with no search. A page of [`LineageTable::PAGE_LEN`] slots
+/// is allocated the first time one of its sequence numbers is recorded; a
+/// slot that was never written, or one on a page that was never allocated,
+/// reads as absent. Pages bound the slack to one partly filled page per
+/// stream and avoid the copy spikes of growing one array per stream.
+///
+/// The mutators are `#[inline(never)]`: the simulator calls them from its
+/// hot handlers behind an `Option` branch, and inlining the table's code
+/// there slowed lineage-off runs by ~6%.
 #[derive(Debug, Clone, Default)]
 pub struct LineageTable {
-    records: BTreeMap<ElementKey, TupleRecord>,
+    /// `streams[stream][seq / PAGE_LEN]` holds `seq`'s record at slot
+    /// `seq % PAGE_LEN`.
+    streams: Vec<Vec<Option<Box<Page>>>>,
+    /// Number of records written (occupied slots).
+    len: usize,
     /// Sink-accepted elements in acceptance order: `(key, accepted_at)`.
     delivered: Vec<(ElementKey, SimTime)>,
     /// Per `(sink, stream)`: highest sequence already recorded delivered.
     sink_pos: BTreeMap<(u32, u32), u64>,
 }
 
+type Page = [Option<TupleRecord>; LineageTable::PAGE_LEN];
+
+/// Page index and slot of `seq`, or `None` if the page index does not fit
+/// in `usize` (such a page cannot exist).
+fn page_slot(seq: u64) -> Option<(usize, usize)> {
+    let len = LineageTable::PAGE_LEN as u64;
+    let page = usize::try_from(seq / len).ok()?;
+    Some((page, (seq % len) as usize))
+}
+
 impl LineageTable {
-    /// An empty table.
+    /// Records per storage page. The table allocates one page per
+    /// `PAGE_LEN` consecutive sequence numbers of a stream, on first use.
+    pub const PAGE_LEN: usize = 1024;
+
+    /// An empty table. Allocates nothing until the first record.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers a source-produced element (no-op if already known).
-    pub fn record_root(&mut self, key: ElementKey, emitted_at: SimTime) {
-        self.records.entry(key).or_insert(TupleRecord {
-            parent: None,
-            origin: key,
-            pe: SOURCE_PE,
-            replica: 0,
-            depth: 0,
-            emitted_at,
-            sent_at: None,
-            recv_at: None,
-            proc_start_at: None,
-            retransmits: 0,
+    /// The slot of `key`, allocating its page (and growing the directories
+    /// to reach it) if needed.
+    fn slot_mut(&mut self, key: ElementKey) -> &mut Option<TupleRecord> {
+        let (page, slot) = page_slot(key.1).expect("sequence number fits the address space");
+        let stream = key.0 as usize;
+        if stream >= self.streams.len() {
+            self.streams.resize_with(stream + 1, Vec::new);
+        }
+        let pages = &mut self.streams[stream];
+        if page >= pages.len() {
+            pages.resize_with(page + 1, || None);
+        }
+        let page = pages[page].get_or_insert_with(|| {
+            vec![None; Self::PAGE_LEN]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a PAGE_LEN-long slice")
         });
+        &mut page[slot]
+    }
+
+    /// Writes `record` at `key` unless a record is already there.
+    fn insert_first(&mut self, key: ElementKey, record: TupleRecord) {
+        let slot = self.slot_mut(key);
+        if slot.is_none() {
+            *slot = Some(record);
+            self.len += 1;
+        }
+    }
+
+    fn get_mut(&mut self, key: ElementKey) -> Option<&mut TupleRecord> {
+        let (page, slot) = page_slot(key.1)?;
+        let page = self
+            .streams
+            .get_mut(key.0 as usize)?
+            .get_mut(page)?
+            .as_mut()?;
+        page[slot].as_mut()
+    }
+
+    /// Applies `f` to every record in the inclusive range
+    /// `seq_start..=seq_end` of `stream`, one page slice at a time.
+    fn for_each_in_range(
+        &mut self,
+        stream: u32,
+        seq_start: u64,
+        seq_end: u64,
+        mut f: impl FnMut(&mut TupleRecord),
+    ) {
+        let Some(pages) = self.streams.get_mut(stream as usize) else {
+            return;
+        };
+        let len = Self::PAGE_LEN as u64;
+        let mut seq = seq_start;
+        while seq <= seq_end {
+            let Some((page, first)) = page_slot(seq) else {
+                return;
+            };
+            if page >= pages.len() {
+                return; // every later page is unallocated too
+            }
+            let last = seq_end.min(seq - first as u64 + (len - 1));
+            if let Some(records) = pages[page].as_mut() {
+                let slots = &mut records[first..=first + (last - seq) as usize];
+                slots.iter_mut().flatten().for_each(&mut f);
+            }
+            match last.checked_add(1) {
+                Some(next) => seq = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Registers a source-produced element (no-op if already known).
+    #[inline(never)]
+    pub fn record_root(&mut self, key: ElementKey, emitted_at: SimTime) {
+        self.insert_first(
+            key,
+            TupleRecord {
+                parent: None,
+                origin: key,
+                pe: SOURCE_PE,
+                replica: 0,
+                depth: 0,
+                emitted_at,
+                sent_at: None,
+                recv_at: None,
+                proc_start_at: None,
+                retransmits: 0,
+            },
+        );
     }
 
     /// Registers an operator-produced element derived from `parent`
     /// (no-op if already known — the other replica got here first).
+    #[inline(never)]
     pub fn record_hop(
         &mut self,
         parent: ElementKey,
@@ -141,28 +249,32 @@ impl LineageTable {
         replica: u8,
         emitted_at: SimTime,
     ) {
-        let (origin, depth) = match self.records.get(&parent) {
+        let (origin, depth) = match self.record(parent) {
             Some(p) => (p.origin, p.depth + 1),
             // Parent unseen (lineage enabled mid-run): anchor at the parent.
             None => (parent, 1),
         };
-        self.records.entry(key).or_insert(TupleRecord {
-            parent: Some(parent),
-            origin,
-            pe,
-            replica,
-            depth,
-            emitted_at,
-            sent_at: None,
-            recv_at: None,
-            proc_start_at: None,
-            retransmits: 0,
-        });
+        self.insert_first(
+            key,
+            TupleRecord {
+                parent: Some(parent),
+                origin,
+                pe,
+                replica,
+                depth,
+                emitted_at,
+                sent_at: None,
+                recv_at: None,
+                proc_start_at: None,
+                retransmits: 0,
+            },
+        );
     }
 
     /// Records the first transmission time of `key` (later copies no-op).
+    #[inline(never)]
     pub fn note_sent(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
+        if let Some(r) = self.get_mut(key) {
             if r.sent_at.is_none() {
                 r.sent_at = Some(at);
             }
@@ -174,19 +286,19 @@ impl LineageTable {
     /// no-op) — how a range-stamped batch expands to per-tuple stamps. The
     /// expansion stays lazy on the batch side: the batch carries one
     /// stamp, and only this table fans it out.
+    #[inline(never)]
     pub fn note_recv_range(&mut self, stream: u32, seq_start: u64, seq_end: u64, at: SimTime) {
-        for seq in seq_start..=seq_end {
-            if let Some(r) = self.records.get_mut(&(stream, seq)) {
-                if r.recv_at.is_none() {
-                    r.recv_at = Some(at);
-                }
+        self.for_each_in_range(stream, seq_start, seq_end, |r| {
+            if r.recv_at.is_none() {
+                r.recv_at = Some(at);
             }
-        }
+        });
     }
 
     /// Records the first processing start of `key` (later copies no-op).
+    #[inline(never)]
     pub fn note_proc_start(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
+        if let Some(r) = self.get_mut(key) {
             if r.proc_start_at.is_none() {
                 r.proc_start_at = Some(at);
             }
@@ -199,12 +311,9 @@ impl LineageTable {
     /// the acked boundary but the rewind itself is still one range). The
     /// decomposition exposes this as a single boolean flag per hop
     /// regardless of retry count.
+    #[inline(never)]
     pub fn mark_retransmit_range(&mut self, stream: u32, seq_start: u64, seq_end: u64) {
-        for seq in seq_start..=seq_end {
-            if let Some(r) = self.records.get_mut(&(stream, seq)) {
-                r.retransmits += 1;
-            }
-        }
+        self.for_each_in_range(stream, seq_start, seq_end, |r| r.retransmits += 1);
     }
 
     /// Records that sink `sink` has accepted stream `stream` through
@@ -220,17 +329,19 @@ impl LineageTable {
 
     /// The record for one element, if known.
     pub fn record(&self, key: ElementKey) -> Option<&TupleRecord> {
-        self.records.get(&key)
+        let (page, slot) = page_slot(key.1)?;
+        let page = self.streams.get(key.0 as usize)?.get(page)?.as_ref()?;
+        page[slot].as_ref()
     }
 
     /// Number of elements tracked.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Sink-accepted elements in acceptance order.
@@ -246,7 +357,7 @@ impl LineageTable {
         let mut chain = Vec::new();
         let mut cur = Some(key);
         while let Some(k) = cur {
-            let r = self.records.get(&k)?;
+            let r = self.record(k)?;
             chain.push((k, *r));
             cur = r.parent;
             // The parent chain is acyclic by construction (children are
